@@ -69,7 +69,7 @@ func main() {
 		intRegsF   = flag.String("int-regs", "", "integer file size dimension (empty = Figure 11 sizes)")
 		fpRegsF    = flag.String("fp-regs", "", "FP size dimension (empty = tied to int)")
 		parallel   = flag.Int("parallel", 0, "local simulation workers (0 = GOMAXPROCS)")
-		cachePath  = flag.String("cache", "", "persistent result cache: a JSON file, or a directory for the segment-log store")
+		cachePath  = flag.String("cache", "", "persistent result cache: a store directory; a name ending in .json names the directory without the suffix")
 		remote     = flag.String("remote", "", "sweepd coordinator URL: run the job on its /explore routes")
 		remoteC    = flag.String("remote-cache", "", "sweepd coordinator URL: search locally over its shared cache")
 		jsonPath   = flag.String("json", "", "write the frontier JSON to this file (\"-\" = stdout)")

@@ -67,7 +67,7 @@ func main() {
 		scale   = flag.Int("scale", 300_000, "dynamic instructions per workload")
 		quick   = flag.Bool("quick", false, "smaller scale and size axis")
 		check   = flag.Bool("check", false, "enable invariant checking")
-		cache   = flag.String("cache", "", "persistent sweep-result cache — a JSON file or a store directory (repeated runs only simulate new points)")
+		cache   = flag.String("cache", "", "persistent sweep-result cache: a store directory, .json suffix dropped (repeated runs only simulate new points)")
 		remote  = flag.String("remote", "", "sweepd coordinator URL: farm every driver grid out for federated execution")
 		remoteC = flag.String("remote-cache", "", "sweepd coordinator URL: run locally over its shared result cache")
 		statsJ  = flag.String("stats-json", "", "write cache statistics to this file")

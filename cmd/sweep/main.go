@@ -7,14 +7,14 @@
 //	sweep -workloads tomcatv,swim -policies conv,extended -int-regs 40,48,64
 //	sweep -cache sweep-cache.json -scale 300000        # incremental reruns
 //
-// A -cache that names a directory (existing, or with a trailing slash)
-// selects the sharded segment-log store (DESIGN.md §4.7) instead of the
-// monolithic JSON file — same results, but saves append instead of
-// rewriting the corpus. Cache maintenance verbs run against either
-// format and exit: -export streams the corpus as NDJSON, -import merges
-// an export (skipping present keys unless -import-overwrite), -compact
-// rewrites store segments that have decayed below the live-ratio
-// threshold:
+// -cache names the sharded segment-log store directory (DESIGN.md
+// §4.7); a name ending in .json names the directory without the
+// suffix, and a legacy single-file cache of that name is imported on
+// first open. Saves append only the new results. Cache maintenance
+// verbs run against the store and exit: -export streams the corpus as
+// NDJSON, -import merges an export (skipping present keys unless
+// -import-overwrite), -compact rewrites segments that have decayed
+// below the live-ratio threshold:
 //
 //	sweep -cache results/ -export corpus.ndjson
 //	sweep -cache results/ -import corpus.ndjson
@@ -95,7 +95,7 @@ func main() {
 		batch      = flag.Int("batch", 0, "lockstep batch width for points sharing a trace (0 = auto, 1 = scalar)")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf    = flag.String("memprofile", "", "write an allocation profile after the run to this file")
-		cachePath  = flag.String("cache", "", "persistent result cache: a JSON file, or a directory for the segment-log store")
+		cachePath  = flag.String("cache", "", "persistent result cache: a store directory; a name ending in .json names the directory without the suffix")
 		exportF    = flag.String("export", "", "write the -cache corpus as NDJSON to FILE (\"-\" = stdout) and exit")
 		importF    = flag.String("import", "", "merge an NDJSON export from FILE (\"-\" = stdin) into the -cache and exit")
 		importOver = flag.Bool("import-overwrite", false, "with -import, replace existing entries instead of skipping them")

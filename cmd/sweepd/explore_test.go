@@ -60,7 +60,7 @@ func postExplore(t *testing.T, ts *httptest.Server, spec search.Spec) string {
 
 func pollExploreDone(t *testing.T, ts *httptest.Server, id string) *exploreJob {
 	t.Helper()
-	deadline := time.Now().Add(2 * time.Minute)
+	deadline := pollDeadline(t)
 	for time.Now().Before(deadline) {
 		resp, err := http.Get(ts.URL + "/explore/" + id)
 		if err != nil {

@@ -29,15 +29,24 @@ func resumeConfig(dir string) ServerConfig {
 	}
 }
 
-// openResumeServer opens a durable server on dir with a fresh
-// in-memory cache — cold on purpose, so everything a restarted server
-// knows provably came out of the journal, not a surviving cache file.
+// openResumeServer opens a durable server on dir with its cache at
+// <dir>/cache, the store sweepd -state opens by default. The journal
+// names results and the store holds them, so a restarted server knows
+// exactly what both files say.
 func openResumeServer(t *testing.T, dir string) (*Server, *httptest.Server) {
 	t.Helper()
-	srv, err := OpenServerWith(resumeConfig(dir))
+	cache, err := sweep.OpenCache(filepath.Join(dir, "cache"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg := resumeConfig(dir)
+	cfg.Cache = cache
+	srv, err := OpenServerWith(cfg)
+	if err != nil {
+		cache.Close()
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cache.Close() })
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts
@@ -150,6 +159,10 @@ func runResumeScenario(t *testing.T, nShards int, crash func(srv *Server, ts *ht
 	done := nShards * 4
 
 	crash(srv1, ts1, dir)
+	// The dead process's store is released before the restart opens it.
+	if err := srv1.cache.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	srv2, ts2 := openResumeServer(t, dir)
 	t.Cleanup(srv2.Close)

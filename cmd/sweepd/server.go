@@ -411,7 +411,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Expand exactly once: the same slice validates the grid, prices
-	// the admission decision, and (pre-expanded) feeds RunLabeled.
+	// the admission decision, and (pre-expanded) feeds Submit.
 	points := g.Expand()
 	if len(points) == 0 {
 		writeError(w, http.StatusBadRequest, "grid expands to no points")
@@ -430,7 +430,25 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	job.ID = s.sweeps.put(job)
 	s.mu.Unlock()
 
-	go s.runJob(job, g, points, adm)
+	// Submit before acknowledging: once it returns, the job is keyed,
+	// queued and (with -state) journaled, so a 202 survives a crash and
+	// a worker can lease the job's first shard immediately. The job runs
+	// labeled with its sweep id and the grid as journal metadata, so a
+	// durable coordinator can resurface it after a restart
+	// (recoverSweeps).
+	meta, _ := json.Marshal(g)
+	sub, err := s.coord.Submit(job.TraceID, job.ID, meta, points, func(p sweep.Progress) {
+		s.mu.Lock()
+		job.Progress = p
+		s.mu.Unlock()
+	})
+	if err != nil {
+		adm.Done()
+		s.finishJob(job, nil, err)
+		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		return
+	}
+	go s.runJob(job, sub, adm)
 	// The trace id rides in the header too, so curl pipelines can grab
 	// it without parsing the body.
 	w.Header().Set("X-Trace-Id", job.TraceID)
@@ -452,22 +470,14 @@ func requestTraceID(r *http.Request) string {
 	return obs.NewTraceID()
 }
 
-// runJob executes the sweep on the federation and publishes progress
-// under the lock. A grid whose points all fail still completes as
-// "done": per-point errors live in the outcomes, matching the engine's
-// contract. The job runs labeled with its sweep id and the grid as
-// journal metadata, so a durable coordinator can resurface it after a
-// restart (recoverSweeps). The admission is released when the job
-// reaches a terminal state, success or not — quota tracks genuinely
-// in-flight work.
-func (s *Server) runJob(job *sweepJob, g sweep.Grid, points []sweep.Point, adm *tenant.Admission) {
+// runJob waits out a submitted sweep and publishes its terminal state.
+// A grid whose points all fail still completes as "done": per-point
+// errors live in the outcomes, matching the engine's contract. The
+// admission is released when the job reaches a terminal state, success
+// or not — quota tracks genuinely in-flight work.
+func (s *Server) runJob(job *sweepJob, sub *sweep.Submission, adm *tenant.Admission) {
 	defer adm.Done()
-	meta, _ := json.Marshal(g)
-	res, err := s.coord.RunTraced(job.TraceID, job.ID, meta, points, func(p sweep.Progress) {
-		s.mu.Lock()
-		job.Progress = p
-		s.mu.Unlock()
-	})
+	res, err := sub.Wait()
 	s.finishJob(job, res, err)
 }
 

@@ -53,9 +53,21 @@ func postGrid(t *testing.T, ts *httptest.Server, g sweep.Grid) string {
 	return out.ID
 }
 
+// pollDeadline bounds a poll for a job's completion by the test
+// binary's -timeout rather than a fixed wall-clock cap: a 192-point
+// grid under -race on a busy 2-core host can take longer than any cap
+// that is honest on a fast one. A hung job still fails, at the
+// timeout. Without a -timeout the poll waits as long as it takes.
+func pollDeadline(t *testing.T) time.Time {
+	if d, ok := t.Deadline(); ok {
+		return d
+	}
+	return time.Now().Add(24 * time.Hour)
+}
+
 func pollDone(t *testing.T, ts *httptest.Server, id string) *sweepJob {
 	t.Helper()
-	deadline := time.Now().Add(2 * time.Minute)
+	deadline := pollDeadline(t)
 	for time.Now().Before(deadline) {
 		resp, err := http.Get(ts.URL + "/sweep/" + id)
 		if err != nil {

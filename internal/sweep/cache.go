@@ -19,23 +19,22 @@ import (
 // Cache is the content-addressed result store shared by every sweep
 // running in a process (and, through sweepd, by every client of the
 // service). Keys are Point.Key hashes; values are complete simulation
-// Results. A cache opened from a file persists across processes, making
-// repeated and overlapping sweeps incremental: only points whose
-// (workload, config, scale) content hash is new are simulated.
+// Results. A cache opened on disk (OpenCache) is backed by the sharded
+// segment-log store, so results persist across processes and repeated
+// and overlapping sweeps are incremental: only points whose (workload,
+// config, scale) content hash is new are simulated.
 //
 // Cached *pipeline.Result values are shared — callers must treat them
 // as immutable.
 type Cache struct {
-	mu    sync.Mutex
-	mem   map[string]*pipeline.Result
-	path  string // "" = in-memory only (or store-backed)
-	dirty bool
+	mu  sync.Mutex
+	mem map[string]*pipeline.Result
 
-	// store is the sharded segment-log tier selected by pointing
-	// OpenCache at a directory. With a store, mem is only a decode
-	// cache for results already on disk — every Put appends to the
-	// store immediately and Save is one fsync per dirty shard instead
-	// of a full-corpus rewrite.
+	// store is the on-disk tier (nil for NewCache). With a store, mem
+	// is only a decode cache for results already appended to it: every
+	// Put appends immediately and Save is one fsync per dirty shard.
+	// storeErrs counts appends that failed and records that could not
+	// be read back.
 	store     *store.Store
 	storeErrs uint64
 
@@ -50,8 +49,7 @@ type Cache struct {
 	rstats        RemoteCacheStats
 
 	// saveMu serializes Save calls so concurrent sweeps finishing
-	// together cannot interleave their file writes (a later snapshot
-	// could otherwise be overwritten by an earlier one).
+	// together flush the remote queue and sync the store one at a time.
 	saveMu sync.Mutex
 }
 
@@ -76,40 +74,18 @@ func NewCache() *Cache {
 	return &Cache{mem: make(map[string]*pipeline.Result)}
 }
 
-// OpenCache loads a persistent cache from path, which may not exist yet
-// (Save creates it). A path that is (or, by a trailing separator, is
-// asked to become) a directory selects the sharded segment-log store;
-// any other path is the legacy format — a single JSON object mapping
-// content keys to Results.
+// OpenCache opens (creating if absent) a cache backed by the sharded
+// segment-log store. An existing directory at path is the store; a
+// path ending in ".json" names the store directory beside it, without
+// the suffix, so "-cache sweep-cache.json" keeps working and a legacy
+// JSON file of that name is imported on first open (migrateLegacy).
+// SWEEP_STORE_SEG_BYTES overrides the segment roll size (a CI/test
+// hook for forcing many small segments).
 func OpenCache(path string) (*Cache, error) {
-	if fi, err := os.Stat(path); err == nil && fi.IsDir() {
-		return OpenStoreCache(path)
+	dir := strings.TrimRight(path, "/"+string(os.PathSeparator))
+	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+		dir = strings.TrimSuffix(dir, ".json")
 	}
-	if trimmed := strings.TrimRight(path, "/"+string(os.PathSeparator)); trimmed != path {
-		return OpenStoreCache(trimmed)
-	}
-	c := NewCache()
-	c.path = path
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return c, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("sweep: open cache: %w", err)
-	}
-	if err := json.Unmarshal(data, &c.mem); err != nil {
-		return nil, fmt.Errorf("sweep: cache %s is corrupt: %w", path, err)
-	}
-	return c, nil
-}
-
-// OpenStoreCache opens (creating if absent) a cache backed by the
-// sharded segment-log store rooted at dir. An empty store auto-imports
-// a legacy cache.json found inside the directory or sitting beside it
-// as "<dir>.json" — the one-shot migration path off the monolithic
-// format. SWEEP_STORE_SEG_BYTES overrides the segment roll size
-// (a CI/test hook for forcing many small segments).
-func OpenStoreCache(dir string) (*Cache, error) {
 	var opts store.Options
 	if v := os.Getenv("SWEEP_STORE_SEG_BYTES"); v != "" {
 		if n, err := strconv.ParseInt(v, 10, 64); err == nil && n > 0 {
@@ -131,10 +107,12 @@ func OpenStoreCache(dir string) (*Cache, error) {
 	return c, nil
 }
 
-// migrateLegacy imports a monolithic cache.json into an empty store,
-// preserving each result's bytes exactly (no decode/re-encode). The
-// legacy file is left in place as a fallback; delete it once the store
-// has proven itself.
+// migrateLegacy imports a legacy single-file cache — one JSON object
+// mapping content keys to Results, found inside the directory as
+// cache.json or beside it as "<dir>.json" — into an empty store,
+// preserving each result's bytes exactly (no decode/re-encode). It is
+// the only reader of that format. The legacy file is left in place as
+// a fallback; delete it once the store has proven itself.
 func (c *Cache) migrateLegacy(dir string) error {
 	for _, legacy := range []string{filepath.Join(dir, "cache.json"), dir + ".json"} {
 		data, err := os.ReadFile(legacy)
@@ -169,12 +147,12 @@ func (c *Cache) migrateLegacy(dir string) error {
 }
 
 // Get returns the cached result for key, if any. A memory miss probes
-// the segment store (directory mode), then a remote tier if one is
-// configured — both off the lookup lock, so concurrent Gets never
-// stall behind disk or HTTP. A hit from a lower tier is cached in
-// memory and counted as a hit. Every miss path re-checks memory before
-// answering: a concurrent Put may have landed during the probe, and
-// reporting it as a miss would trigger a redundant re-simulation.
+// the segment store, then a remote tier if one is configured — both
+// off the lookup lock, so concurrent Gets never stall behind disk or
+// HTTP. A hit from a lower tier is cached in memory and counted as a
+// hit. Every miss path re-checks memory before answering: a concurrent
+// Put may have landed during the probe, and reporting it as a miss
+// would trigger a redundant re-simulation.
 func (c *Cache) Get(key string) (*pipeline.Result, bool) {
 	c.mu.Lock()
 	if r, ok := c.mem[key]; ok {
@@ -186,9 +164,10 @@ func (c *Cache) Get(key string) (*pipeline.Result, bool) {
 	c.mu.Unlock()
 
 	if st != nil {
-		if raw, ok, err := st.Get(key); err == nil && ok {
+		raw, ok, err := st.Get(key)
+		if err == nil && ok {
 			r := new(pipeline.Result)
-			if err := json.Unmarshal(raw, r); err == nil {
+			if err = json.Unmarshal(raw, r); err == nil {
 				c.mu.Lock()
 				defer c.mu.Unlock()
 				c.hits++
@@ -198,6 +177,9 @@ func (c *Cache) Get(key string) (*pipeline.Result, bool) {
 				c.mem[key] = r // decode cache only — already durable
 				return r, true
 			}
+		}
+		if err != nil {
+			c.dropUnreadable(st, key)
 		}
 		// A store miss (or an unreadable record) falls through to the
 		// remote tier, and failing that to a re-simulation.
@@ -240,15 +222,28 @@ func (c *Cache) Get(key string) (*pipeline.Result, bool) {
 	return nil, false
 }
 
-// persist makes a freshly added result durable-on-Save: in store mode
-// it appends to the segment log immediately (the next Save fsyncs), in
-// JSON mode it marks the map dirty for the next full rewrite. Failures
-// to append are counted, not surfaced — the result still serves from
-// memory, exactly like the remote tier's best-effort contract. Called
-// with c.mu held.
+// dropUnreadable counts a store record that failed its CRC check or
+// would not decode, and tombstones it so the key reads as absent: the
+// re-simulated result's Put then appends a fresh record in its place.
+// A concurrent Put that already landed in memory wrote that fresh
+// record, so the key is left alone.
+func (c *Cache) dropUnreadable(st *store.Store, key string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.storeErrs++
+	if _, ok := c.mem[key]; !ok {
+		if err := st.Delete(key); err != nil {
+			c.storeErrs++
+		}
+	}
+}
+
+// persist appends a freshly added result to the segment log (the next
+// Save fsyncs it). Failures to append are counted, not surfaced — the
+// result still serves from memory, exactly like the remote tier's
+// best-effort contract. No-op without a store. Called with c.mu held.
 func (c *Cache) persist(key string, r *pipeline.Result) {
 	if c.store == nil {
-		c.dirty = true
 		return
 	}
 	raw, err := json.Marshal(r)
@@ -315,14 +310,9 @@ func (c *Cache) Len() int {
 
 // Save persists the cache: queued remote write-backs are flushed
 // first (best-effort — failures are counted in Stats, never returned,
-// and never block the file write), then the local tier is made
-// durable. In store mode every Put already appended its record, so
-// Save is one fsync per dirty shard — O(new data) however large the
-// corpus. In legacy JSON mode the backing file is rewritten in full if
-// it has one and new entries were added since the last save; the write
-// is atomic (temp file + rename) so concurrent readers never see a
-// torn file, and the encode happens on a snapshot outside the lookup
-// lock so concurrent sweeps' Get/Put never stall behind file I/O.
+// and never block the local sync), then the store is made durable.
+// Every Put already appended its record, so that is one fsync per
+// dirty shard — O(new data) however large the corpus.
 func (c *Cache) Save() error {
 	c.saveMu.Lock()
 	defer c.saveMu.Unlock()
@@ -344,50 +334,22 @@ func (c *Cache) Save() error {
 		}
 	}
 
-	c.mu.Lock()
-	if st := c.store; st != nil {
-		c.mu.Unlock()
-		if err := st.Sync(); err != nil {
-			return fmt.Errorf("sweep: save cache: %w", err)
-		}
-		return nil
-	}
-	if c.path == "" || !c.dirty {
-		c.mu.Unlock()
-		return nil
-	}
-	snap := make(map[string]*pipeline.Result, len(c.mem))
-	for k, v := range c.mem {
-		snap[k] = v
-	}
-	c.dirty = false // entries added from here on belong to the next save
-	c.mu.Unlock()
+	return c.syncStore()
+}
 
-	fail := func(err error, context string) error {
-		c.mu.Lock()
-		c.dirty = true
-		c.mu.Unlock()
-		return fmt.Errorf("sweep: %s: %w", context, err)
+// syncStore fsyncs the store's dirty shards and nothing else (the
+// remote write-back queue is Save's business): a durable coordinator
+// calls it before journaling a done record, so every result a record
+// names is on disk first. No-op without a store.
+func (c *Cache) syncStore() error {
+	c.mu.Lock()
+	st := c.store
+	c.mu.Unlock()
+	if st == nil {
+		return nil
 	}
-	data, err := json.Marshal(snap)
-	if err != nil {
-		return fail(err, "encode cache")
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(c.path), ".sweep-cache-*")
-	if err != nil {
-		return fail(err, "save cache")
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmp.Name(), c.path)
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		return fail(werr, "save cache")
+	if err := st.Sync(); err != nil {
+		return fmt.Errorf("sweep: save cache: %w", err)
 	}
 	return nil
 }
@@ -508,7 +470,7 @@ func (c *Cache) Export(w io.Writer) error {
 
 // Import reads an NDJSON export from r, storing each record under its
 // key. Existing keys are skipped unless overwrite is set (counted in
-// skipped). Store-backed caches take the result bytes verbatim, so an
+// skipped). A store takes the result bytes verbatim, so an
 // export/import round-trip is byte-preserving; call Save afterwards to
 // make the batch durable.
 func (c *Cache) Import(r io.Reader, overwrite bool) (added, skipped int, err error) {
@@ -543,7 +505,6 @@ func (c *Cache) Import(r io.Reader, overwrite bool) (added, skipped int, err err
 				return added, skipped, fmt.Errorf("sweep: import %s: %w", rec.Key, err)
 			}
 			c.mem[rec.Key] = res
-			c.dirty = true
 			c.mu.Unlock()
 		}
 		added++
@@ -552,7 +513,7 @@ func (c *Cache) Import(r io.Reader, overwrite bool) (added, skipped int, err err
 }
 
 // GC removes every cached result whose key the live predicate rejects.
-// In store mode the dead keys are tombstoned and their segments
+// With a store the dead keys are tombstoned and their segments
 // compacted; either way the matching in-memory entries go too. Returns
 // the number of keys removed from the authoritative tier.
 func (c *Cache) GC(live func(key string) bool) (int, error) {
@@ -562,10 +523,7 @@ func (c *Cache) GC(live func(key string) bool) (int, error) {
 	for k := range c.mem {
 		if !live(k) {
 			delete(c.mem, k)
-			if st == nil {
-				c.dirty = true
-				removed++
-			}
+			removed++
 		}
 	}
 	c.mu.Unlock()

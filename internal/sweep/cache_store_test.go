@@ -38,29 +38,23 @@ func marshalCorpus(t *testing.T, res *Results) map[string][]byte {
 	return m
 }
 
-// TestStoreCacheMatchesJSONCache is the tentpole's differential test:
-// the same grid through a JSON-file cache and a segment-store cache
+// TestStoreCacheMatchesMemoryCache is the store's differential test:
+// the same grid through an in-memory cache and a segment-store cache
 // must produce byte-identical results, cold and warm, with the warm
 // store rerun 100% hits after a reopen.
-func TestStoreCacheMatchesJSONCache(t *testing.T) {
+func TestStoreCacheMatchesMemoryCache(t *testing.T) {
 	t.Parallel()
-	dir := t.TempDir()
 	g := smallGrid()
-
-	jsonCache, err := OpenCache(filepath.Join(dir, "cache.json"))
+	memRes, err := (&Engine{Cache: NewCache()}).Run(g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jsonRes, err := (&Engine{Cache: jsonCache}).Run(g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := jsonRes.Err(); err != nil {
+	if err := memRes.Err(); err != nil {
 		t.Fatal(err)
 	}
 
-	storeDir := filepath.Join(dir, "store")
-	storeCache, err := OpenCache(storeDir + "/") // trailing slash selects the store
+	storeDir := filepath.Join(t.TempDir(), "store")
+	storeCache, err := OpenCache(storeDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,23 +69,22 @@ func TestStoreCacheMatchesJSONCache(t *testing.T) {
 		t.Errorf("store cold run stats wrong: %+v", storeRes.Stats)
 	}
 
-	wantBytes := marshalCorpus(t, jsonRes)
+	wantBytes := marshalCorpus(t, memRes)
 	gotBytes := marshalCorpus(t, storeRes)
 	if len(wantBytes) != len(gotBytes) {
-		t.Fatalf("corpus sizes differ: json %d, store %d", len(wantBytes), len(gotBytes))
+		t.Fatalf("corpus sizes differ: memory %d, store %d", len(wantBytes), len(gotBytes))
 	}
 	for k, want := range wantBytes {
 		if got := gotBytes[k]; !bytes.Equal(got, want) {
-			t.Errorf("result %s differs between json and store runs\n got: %s\nwant: %s", k, got, want)
+			t.Errorf("result %s differs between memory and store runs\n got: %s\nwant: %s", k, got, want)
 		}
 	}
 	if err := storeCache.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Fresh open of the store directory (no trailing slash needed once
-	// it exists): warm rerun is 100% hits, zero simulation, and the
-	// served results marshal to the same bytes.
+	// Fresh open of the store directory: warm rerun is 100% hits, zero
+	// simulation, and the served results marshal to the same bytes.
 	reopened, err := OpenCache(storeDir)
 	if err != nil {
 		t.Fatal(err)
@@ -109,55 +102,57 @@ func TestStoreCacheMatchesJSONCache(t *testing.T) {
 	}
 	for k, got := range marshalCorpus(t, warm) {
 		if !bytes.Equal(got, wantBytes[k]) {
-			t.Errorf("warm result %s drifted from json-cache bytes", k)
+			t.Errorf("warm result %s drifted from memory-cache bytes", k)
 		}
 	}
 }
 
-// TestStoreCacheMigratesLegacyJSON: pointing OpenCache at a fresh
-// directory sitting next to (or wrapping) a legacy cache.json imports
-// the corpus byte-for-byte on first open.
+// TestStoreCacheMigratesLegacyJSON: a legacy single-file cache (one
+// JSON object mapping content keys to Results) inside a fresh store
+// directory, or beside it as "<dir>.json", is imported byte-for-byte
+// on first open. The second case is opened by its .json name, the way
+// "-cache sweep-cache.json" reaches OpenCache.
 func TestStoreCacheMigratesLegacyJSON(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
-	legacyPath := filepath.Join(dir, "cache.json")
-	legacy, err := OpenCache(legacyPath)
-	if err != nil {
-		t.Fatal(err)
-	}
 	g := smallGrid()
-	res, err := (&Engine{Cache: legacy}).Run(g, nil)
+	res, err := (&Engine{Cache: NewCache()}).Run(g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := marshalCorpus(t, res)
+	legacy := make(map[string]*pipeline.Result, len(res.Outcomes))
+	for _, o := range res.Outcomes {
+		legacy[o.Key] = o.Result
+	}
+	blob, err := json.Marshal(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Case 1: the legacy file lives inside the new store directory.
 	inside := filepath.Join(dir, "store-a")
 	if err := os.MkdirAll(inside, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	blob, err := os.ReadFile(legacyPath)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := os.WriteFile(filepath.Join(inside, "cache.json"), blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// Case 2: the store directory is named after the legacy file —
-	// sweepd's old <state>/cache.json becoming <state>/cache.
-	outside := filepath.Join(dir, "cache")
-	if err := os.WriteFile(outside+".json", blob, 0o644); err != nil {
+	// sweepd's old <state>/cache.json becoming <state>/cache, or a CLI's
+	// sweep-cache.json becoming sweep-cache.
+	outside := filepath.Join(dir, "cache.json")
+	if err := os.WriteFile(outside, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	for _, storeDir := range []string{inside, outside} {
-		c, err := OpenStoreCache(storeDir)
+	for _, path := range []string{inside, outside} {
+		c, err := OpenCache(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if c.Len() != len(want) {
-			t.Fatalf("%s: migrated %d entries, want %d", storeDir, c.Len(), len(want))
+			t.Fatalf("%s: migrated %d entries, want %d", path, c.Len(), len(want))
 		}
 		var buf bytes.Buffer
 		if err := c.Export(&buf); err != nil {
@@ -174,12 +169,12 @@ func TestStoreCacheMigratesLegacyJSON(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(rec.Result, want[rec.Key]) {
-				t.Errorf("%s: migrated %s drifted from legacy bytes", storeDir, rec.Key)
+				t.Errorf("%s: migrated %s drifted from legacy bytes", path, rec.Key)
 			}
 			seen++
 		}
 		if seen != len(want) {
-			t.Errorf("%s: export streamed %d records, want %d", storeDir, seen, len(want))
+			t.Errorf("%s: export streamed %d records, want %d", path, seen, len(want))
 		}
 		// Warm rerun through the migrated store: all hits.
 		warm, err := (&Engine{Cache: c}).Run(g, nil)
@@ -187,10 +182,109 @@ func TestStoreCacheMigratesLegacyJSON(t *testing.T) {
 			t.Fatal(err)
 		}
 		if warm.Stats.CacheHits != warm.Stats.Points || warm.Stats.Simulated != 0 {
-			t.Errorf("%s: migrated warm rerun stats wrong: %+v", storeDir, warm.Stats)
+			t.Errorf("%s: migrated warm rerun stats wrong: %+v", path, warm.Stats)
 		}
 		if err := c.Close(); err != nil {
 			t.Fatal(err)
+		}
+	}
+	if fi, err := os.Stat(filepath.Join(dir, "cache")); err != nil || !fi.IsDir() {
+		t.Fatalf("cache.json did not open the store directory beside it: %v", err)
+	}
+}
+
+// TestStoreCacheRepairsCorruptRecord flips one byte of a stored record
+// while the cache is open. The lookup that trips the CRC check must
+// count a store error and miss; the re-simulated result must replace
+// the bad record, so later runs — on this cache and after a reopen —
+// are hits again, byte-identical to the original.
+func TestStoreCacheRepairsCorruptRecord(t *testing.T) {
+	t.Parallel()
+	dir := filepath.Join(t.TempDir(), "store")
+	pts := testPoints(1)
+	c, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := (&Engine{Cache: c}).RunPoints(pts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := marshalCorpus(t, first)
+
+	c, err = OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	segs, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := 0
+	for _, seg := range segs {
+		blob, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(blob) == 0 {
+			continue
+		}
+		blob[len(blob)/2] ^= 0xff
+		if err := os.WriteFile(seg, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		flipped++
+	}
+	if flipped != 1 {
+		t.Fatalf("corrupted %d segments, want the one holding the record", flipped)
+	}
+
+	for run := 0; run < 3; run++ {
+		res, err := (&Engine{Cache: c}).RunPoints(pts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSim := 0
+		if run == 0 {
+			wantSim = 1
+		}
+		if res.Stats.Simulated != wantSim || res.Stats.CacheHits != 1-wantSim {
+			t.Fatalf("run %d: %+v, want %d simulated", run, res.Stats, wantSim)
+		}
+		if n := c.Stats().StoreErrors; n != 1 {
+			t.Fatalf("run %d: store errors %d, want 1", run, n)
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Open truncates a segment at its first bad frame, taking the
+	// repair appended behind the flipped byte with it, so the first
+	// run after a reopen may simulate the point once more. From then
+	// on it is served, byte-identical, with no unreadable record left.
+	reopened, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if _, err := (&Engine{Cache: reopened}).RunPoints(pts, nil); err != nil {
+		t.Fatal(err)
+	}
+	warm, err := (&Engine{Cache: reopened}).RunPoints(pts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Stats.CacheHits != 1 || reopened.Stats().StoreErrors != 0 {
+		t.Fatalf("after reopen: %+v, store errors %d", warm.Stats, reopened.Stats().StoreErrors)
+	}
+	for k, got := range marshalCorpus(t, warm) {
+		if !bytes.Equal(got, want[k]) {
+			t.Errorf("repaired result %s drifted", k)
 		}
 	}
 }
@@ -201,7 +295,7 @@ func TestStoreCacheMigratesLegacyJSON(t *testing.T) {
 func TestCacheExportImportRoundTrip(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
-	src, err := OpenStoreCache(filepath.Join(dir, "src"))
+	src, err := OpenCache(filepath.Join(dir, "src"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +316,7 @@ func TestCacheExportImportRoundTrip(t *testing.T) {
 		t.Fatal("export produced no bytes")
 	}
 
-	dst, err := OpenStoreCache(filepath.Join(dir, "dst"))
+	dst, err := OpenCache(filepath.Join(dir, "dst"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +370,7 @@ func TestCacheExportImportRoundTrip(t *testing.T) {
 func TestStoreCacheSaveIsIncremental(t *testing.T) {
 	t.Parallel()
 	dir := filepath.Join(t.TempDir(), "store")
-	c, err := OpenStoreCache(dir)
+	c, err := OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +421,7 @@ func dirBytes(t *testing.T, dir string) int64 {
 // goroutines; with -race this is the cache-over-store race check.
 func TestStoreCacheConcurrent(t *testing.T) {
 	t.Parallel()
-	c, err := OpenStoreCache(filepath.Join(t.TempDir(), "store"))
+	c, err := OpenCache(filepath.Join(t.TempDir(), "store"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,21 +453,18 @@ func TestStoreCacheConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestCacheGC checks both modes drop exactly the keys the predicate
-// rejects.
+// TestCacheGC checks a store-backed cache drops exactly the keys the
+// predicate rejects, the same as an in-memory one.
 func TestCacheGC(t *testing.T) {
 	t.Parallel()
 	res := &pipeline.Result{Cycles: 3}
-	for _, mode := range []string{"json", "store"} {
-		var c *Cache
-		var err error
+	for _, mode := range []string{"memory", "store"} {
+		c := NewCache()
 		if mode == "store" {
-			c, err = OpenStoreCache(filepath.Join(t.TempDir(), "store"))
-		} else {
-			c, err = OpenCache(filepath.Join(t.TempDir(), "cache.json"))
-		}
-		if err != nil {
-			t.Fatal(err)
+			var err error
+			if c, err = OpenCache(filepath.Join(t.TempDir(), "store")); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for _, k := range []string{"keep-a", "keep-b", "drop-a", "drop-b", "drop-c"} {
 			c.Put(k, res)

@@ -189,9 +189,9 @@ type fedJob struct {
 	onProg func(Progress)
 	doneCh chan struct{}
 
-	// Journaled submissions keep their identity and full point list so
-	// snapshots are self-contained; all zero on a memory-only
-	// coordinator.
+	// points and keys are the submission in slot order (recovery and
+	// snapshots rebuild shards from them). id names a journaled job;
+	// empty on a memory-only coordinator.
 	id     string
 	label  string
 	meta   json.RawMessage
@@ -311,44 +311,50 @@ func (c *Coordinator) closeLocked() {
 	c.leases = make(map[string]*fedLease)
 }
 
-// Run plans the grid, queues its cache misses as shards and blocks
-// until every point is resolved — the federated counterpart of
-// Engine.Run with the same Results/Stats/progress contracts. Work is
-// executed by whatever workers are attached (including the embedded
-// local workers sweepd starts); with none attached the call blocks
-// until one joins or the coordinator closes.
-func (c *Coordinator) Run(g Grid, onProgress func(Progress)) (*Results, error) {
-	return c.RunPoints(g.Expand(), onProgress)
+// Submission is a job the coordinator has accepted: its points are
+// keyed, its cache hits resolved, its misses queued as shards, and — on
+// a durable coordinator — all of that is journaled. Wait collects the
+// results.
+type Submission struct {
+	c   *Coordinator
+	job *fedJob
 }
 
-// RunPoints is Run for an explicit point list.
+// Wait blocks until every point is resolved — the federated
+// counterpart of Engine.RunPoints with the same Results/Stats/progress
+// contracts. Work is executed by whatever workers are attached
+// (including the embedded local workers sweepd starts); with none
+// attached the call blocks until one joins or the coordinator closes.
+func (s *Submission) Wait() (*Results, error) { return s.c.wait(s.job) }
+
+// RunPoints submits an anonymous job and waits for it. Anonymous jobs
+// (explorer evaluation rounds) do not resume after a restart.
 func (c *Coordinator) RunPoints(points []Point, onProgress func(Progress)) (*Results, error) {
-	return c.run("", "", nil, points, onProgress)
+	sub, err := c.Submit("", "", nil, points, onProgress)
+	if err != nil {
+		return nil, err
+	}
+	return sub.Wait()
 }
 
-// RunLabeled is Run for a submission that must survive a coordinator
-// restart: the label (sweepd uses the sweep id) and meta blob (the
+// Submit accepts a job and returns once it is queued and, on a durable
+// coordinator, journaled with fsync — so a caller that acknowledges
+// the submission after Submit returns never acknowledges work a crash
+// could lose. The label (sweepd uses the sweep id) and meta blob (the
 // submitted grid) are journaled with the point list, and a reopened
-// coordinator reports the job under Recovered for ResumeRecovered to
-// pick up. On a memory-only coordinator it is exactly RunPoints.
-func (c *Coordinator) RunLabeled(label string, meta json.RawMessage, points []Point, onProgress func(Progress)) (*Results, error) {
-	return c.run("", label, meta, points, onProgress)
-}
-
-// RunTraced is RunLabeled under a caller-chosen trace id (sweepd mints
-// one per submission — or adopts the client's traceparent — so the
-// HTTP response can name the timeline before the job finishes). An
+// coordinator reports a labeled job under Recovered for
+// ResumeRecovered to pick up. traceID names the job's timeline (sweepd
+// mints one per submission, or adopts the client's traceparent); an
 // empty traceID makes the coordinator mint its own.
-func (c *Coordinator) RunTraced(traceID, label string, meta json.RawMessage, points []Point, onProgress func(Progress)) (*Results, error) {
-	return c.run(traceID, label, meta, points, onProgress)
-}
-
-func (c *Coordinator) run(traceID, label string, meta json.RawMessage, points []Point, onProgress func(Progress)) (*Results, error) {
+func (c *Coordinator) Submit(traceID, label string, meta json.RawMessage, points []Point, onProgress func(Progress)) (*Submission, error) {
 	job := &fedJob{
 		res:    &Results{Outcomes: make([]*Outcome, len(points))},
 		total:  len(points),
 		onProg: onProgress,
 		doneCh: make(chan struct{}),
+		label:  label,
+		meta:   meta,
+		points: points,
 	}
 	job.res.Stats.Points = len(points)
 	submitAt := c.cfg.now()
@@ -359,10 +365,11 @@ func (c *Coordinator) run(traceID, label string, meta json.RawMessage, points []
 	for i, pt := range points {
 		keys[i], keyErrs[i] = pt.Key()
 	}
+	job.keys = keys
 
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed {
-		c.mu.Unlock()
 		return nil, ErrClosed
 	}
 	c.counters.JobsSubmitted++
@@ -376,82 +383,82 @@ func (c *Coordinator) run(traceID, label string, meta json.RawMessage, points []
 	if c.jrn != nil {
 		c.seq++
 		job.id = fmt.Sprintf("job-%d", c.seq)
-		job.label, job.meta, job.points, job.keys = label, meta, points, keys
 		c.jobs[job.id] = job
 		c.journal(recTypeJob, jobRec{ID: job.id, Label: label, Trace: traceID,
 			Meta: meta, Points: points, Keys: keys})
 	}
 	var missIdx []int
+	hits := doneRec{Job: job.id}
 	for i, pt := range points {
 		if err := keyErrs[i]; err != nil {
 			keys[i] = ""
+			hits.Entries = append(hits.Entries, doneEntry{Idx: i, Err: err.Error()})
 			c.finishLocked(job, i, &Outcome{Point: pt, Err: err.Error()})
 			continue
 		}
 		if r, ok := c.cache.Get(keys[i]); ok {
+			hits.Entries = append(hits.Entries, doneEntry{Idx: i, Cached: true})
 			c.finishLocked(job, i, &Outcome{Point: pt, Key: keys[i], Cached: true, Result: r})
 			continue
 		}
 		missIdx = append(missIdx, i)
 	}
-	if c.jrn != nil && job.done > 0 {
-		rec := doneRec{Job: job.id}
-		for i, o := range job.res.Outcomes {
-			if o != nil {
-				rec.Entries = append(rec.Entries, doneEntry{Idx: i, Cached: o.Cached,
-					Err: o.Err, Result: o.Result})
-			}
-		}
-		c.journal(recTypeDone, rec)
+	if c.jrn != nil && len(hits.Entries) > 0 {
+		c.journal(recTypeDone, hits)
 	}
 	classifiedAt := c.cfg.now()
 	c.spanLocked(job, obs.Span{Name: "submit",
 		StartNS: submitAt.UnixNano(), EndNS: classifiedAt.UnixNano(),
 		Detail: fmt.Sprintf("%d points, %d cached", len(points), job.res.Stats.CacheHits)})
 	if len(missIdx) > 0 {
-		missPts := make([]Point, len(missIdx))
-		for j, i := range missIdx {
-			missPts[j] = points[i]
-		}
-		planner := c.cfg.Planner
-		if n := len(c.workers); n > planner.MinShards {
-			planner.MinShards = n
-		}
-		var plan planRec
-		var shardSpans []obs.Span
-		for _, group := range planner.Plan(missPts) {
-			c.seq++
-			sh := &fedShard{id: fmt.Sprintf("sh-%d", c.seq)}
-			for _, j := range group {
-				i := missIdx[j]
-				sh.units = append(sh.units, workUnit{
-					item: WorkItem{Point: points[i], Key: keys[i]}, jobIdx: i, job: job})
-			}
-			c.pending = append(c.pending, sh)
-			if c.jrn != nil {
+		shards := c.queueLocked(job, missIdx)
+		if c.jrn != nil {
+			var plan planRec
+			for _, sh := range shards {
 				plan.Shards = append(plan.Shards, shardState(sh))
 			}
-			shardSpans = append(shardSpans, obs.Span{Name: "shard", Ref: sh.id,
-				Detail: fmt.Sprintf("%d points", len(sh.units))})
-		}
-		if c.jrn != nil {
 			c.journal(recTypePlan, plan)
 		}
 		plannedAt := c.cfg.now()
-		for _, sh := range c.pending[len(c.pending)-len(shardSpans):] {
-			sh.queuedAt = plannedAt
-		}
 		c.spanLocked(job, obs.Span{Name: "plan",
 			StartNS: classifiedAt.UnixNano(), EndNS: plannedAt.UnixNano(),
-			Detail: fmt.Sprintf("%d shards for %d misses", len(shardSpans), len(missIdx))})
-		for _, s := range shardSpans {
-			s.StartNS, s.EndNS = plannedAt.UnixNano(), plannedAt.UnixNano()
-			c.spanLocked(job, s)
+			Detail: fmt.Sprintf("%d shards for %d misses", len(shards), len(missIdx))})
+		for _, sh := range shards {
+			sh.queuedAt = plannedAt
+			c.spanLocked(job, obs.Span{Name: "shard", Ref: sh.id,
+				StartNS: plannedAt.UnixNano(), EndNS: plannedAt.UnixNano(),
+				Detail: fmt.Sprintf("%d points", len(sh.units))})
 		}
 	}
-	c.mu.Unlock()
+	return &Submission{c: c, job: job}, nil
+}
 
-	return c.wait(job)
+// queueLocked plans the job's points at idx into cost-balanced shards
+// (at least one per registered worker) and appends them to the pending
+// queue. Submit queues a job's cache misses this way, and recovery the
+// points whose results the store no longer holds. Called under c.mu.
+func (c *Coordinator) queueLocked(job *fedJob, idx []int) []*fedShard {
+	pts := make([]Point, len(idx))
+	for j, i := range idx {
+		pts[j] = job.points[i]
+	}
+	planner := c.cfg.Planner
+	if n := len(c.workers); n > planner.MinShards {
+		planner.MinShards = n
+	}
+	var shards []*fedShard
+	for _, group := range planner.Plan(pts) {
+		c.seq++
+		sh := &fedShard{id: fmt.Sprintf("sh-%d", c.seq)}
+		for _, j := range group {
+			i := idx[j]
+			sh.units = append(sh.units, workUnit{
+				item: WorkItem{Point: job.points[i], Key: job.keys[i]}, jobIdx: i, job: job})
+		}
+		shards = append(shards, sh)
+	}
+	c.pending = append(c.pending, shards...)
+	return shards
 }
 
 // spanLocked records one span on the job's timeline and journals it on
@@ -673,7 +680,7 @@ func (c *Coordinator) LeaseShard(workerID string) (*LeaseGrant, error) {
 			if r, ok := c.cache.Get(u.item.Key); ok {
 				strips.Job = u.job.id
 				strips.Entries = append(strips.Entries,
-					doneEntry{Idx: u.jobIdx, Cached: true, Result: r})
+					doneEntry{Idx: u.jobIdx, Cached: true})
 				c.finishLocked(u.job, u.jobIdx,
 					&Outcome{Point: u.item.Point, Key: u.item.Key, Cached: true, Result: r})
 				continue
@@ -871,7 +878,7 @@ func (c *Coordinator) CompleteShard(req *CompleteRequest) error {
 			c.cache.Put(u.item.Key, o.Result)
 		}
 		rec.Job = u.job.id
-		rec.Entries = append(rec.Entries, doneEntry{Idx: u.jobIdx, Err: o.Err, Result: o.Result})
+		rec.Entries = append(rec.Entries, doneEntry{Idx: u.jobIdx, Err: o.Err})
 		c.finishLocked(u.job, u.jobIdx,
 			&Outcome{Point: u.item.Point, Key: u.item.Key, Result: o.Result, Err: o.Err})
 	}

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"strings"
@@ -38,28 +39,37 @@ func newTestCoordinator(t *testing.T, clk *fakeClock, cfg CoordConfig) *Coordina
 	return c
 }
 
-// submitAsync runs coord.RunPoints in a goroutine and returns a
-// channel with the outcome.
+// runResult is one waited-out submission.
 type runResult struct {
 	res *Results
 	err error
 }
 
+// submitAsync submits an anonymous job and waits for it in a goroutine.
+// Submit queues the job's shards before it returns, so tests can lease
+// deterministically as soon as it does.
 func submitAsync(c *Coordinator, pts []Point) chan runResult {
+	return submitJob(c, "", "", pts)
+}
+
+// submitJob is submitAsync under a trace id and label (labeled jobs are
+// journaled and resume after a restart; empty strings mean anonymous
+// and coordinator-minted).
+func submitJob(c *Coordinator, traceID, label string, pts []Point) chan runResult {
 	ch := make(chan runResult, 1)
-	before := c.Status().PendingShards
+	var meta json.RawMessage
+	if label != "" {
+		meta = json.RawMessage(`{"test":true}`)
+	}
+	sub, err := c.Submit(traceID, label, meta, pts, nil)
+	if err != nil {
+		ch <- runResult{nil, err}
+		return ch
+	}
 	go func() {
-		res, err := c.RunPoints(pts, nil)
+		res, err := sub.Wait()
 		ch <- runResult{res, err}
 	}()
-	// Planning is synchronous inside RunPoints; wait until this job's
-	// shards are visibly queued so tests can lease deterministically.
-	for end := time.Now().Add(5 * time.Second); time.Now().Before(end); {
-		if c.Status().PendingShards > before {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
 	return ch
 }
 
@@ -459,7 +469,7 @@ func TestWorkerAgainstCoordinator(t *testing.T) {
 
 	g := Grid{Workloads: []string{"go", "listwalk"}, Policies: []string{"conv", "extended"},
 		IntRegs: []int{40, 48}, Scale: 5000}
-	res, err := c.Run(g, nil)
+	res, err := c.RunPoints(g.Expand(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +490,7 @@ func TestWorkerAgainstCoordinator(t *testing.T) {
 		}
 	}
 	// Warm resubmission is all cache hits.
-	res2, err := c.Run(g, nil)
+	res2, err := c.RunPoints(g.Expand(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"earlyrelease/internal/obs"
-	"earlyrelease/internal/pipeline"
 	"earlyrelease/internal/sweep/durable"
 )
 
@@ -22,8 +21,14 @@ import (
 // periodic snapshot compacts the log. Recovery is snapshot state plus
 // WAL replay, and reconstructs exactly the pre-crash queue: pending
 // shards in order, in-flight leases with their absolute deadlines and
-// attempt counts, and every resolved outcome (results included, so the
-// shared cache is rebuilt even if its own file never got saved).
+// attempt counts, and every resolved outcome.
+//
+// The journal holds queue state only. Result bytes live in one place,
+// the coordinator's cache (the segment store under sweepd -state): a
+// resolved outcome is journaled as {idx, cached, err}, the store is
+// fsynced before any such record is appended, and replay reads each
+// result back by its content key. A result the store no longer holds
+// is re-simulated, never invented.
 //
 // Two deliberate non-goals: the worker registry is not persisted
 // (workers re-register through the existing ErrUnknownWorker path when
@@ -74,14 +79,12 @@ type planRec struct {
 	Shards []shardRec `json:"shards"`
 }
 
-// doneEntry is one resolved point. The result rides in the record even
-// when the cache also holds it: replay must be able to rebuild both
-// the job's outcomes and the cache without any other file surviving.
+// doneEntry is one resolved point. A successful entry carries no
+// result: replay looks it up in the cache under the job's content key.
 type doneEntry struct {
-	Idx    int              `json:"idx"`
-	Cached bool             `json:"cached,omitempty"`
-	Err    string           `json:"err,omitempty"`
-	Result *pipeline.Result `json:"result,omitempty"`
+	Idx    int    `json:"idx"`
+	Cached bool   `json:"cached,omitempty"`
+	Err    string `json:"err,omitempty"`
 }
 
 type doneRec struct {
@@ -155,13 +158,18 @@ func (j *journal) fail(err error) {
 	}
 }
 
-// append journals one record, fsyncing the data-bearing types (jobs
+// journal appends one record, fsyncing the data-bearing types (jobs
 // and outcomes must survive a machine crash once acknowledged; a lost
 // lease or plan record only costs re-simulation time, never results).
+// A done record names results it does not carry, so the store is
+// fsynced first: an acknowledged outcome never outlives its bytes.
 func (c *Coordinator) journal(typ byte, v any) {
 	j := c.jrn
 	if j == nil {
 		return
+	}
+	if typ == recTypeDone {
+		j.fail(c.cache.syncStore())
 	}
 	sync := typ == recTypeJob || typ == recTypeDone
 	j.fail(j.wal.AppendJSON(typ, v, sync))
@@ -172,12 +180,14 @@ func (c *Coordinator) journal(typ byte, v any) {
 }
 
 // snapshotLocked compacts: the live queue becomes the snapshot and the
-// WAL restarts empty. Called under c.mu.
+// WAL restarts empty. Like a done record, the snapshot names results
+// by key, so the store is fsynced first. Called under c.mu.
 func (c *Coordinator) snapshotLocked() {
 	j := c.jrn
 	if j == nil {
 		return
 	}
+	j.fail(c.cache.syncStore())
 	if err := durable.WriteSnapshot(j.snapPath(), c.snapStateLocked()); err != nil {
 		j.fail(err)
 		return
@@ -212,7 +222,7 @@ func (c *Coordinator) snapStateLocked() snapState {
 			Points: job.points, Keys: job.keys}}
 		for idx, o := range job.res.Outcomes {
 			if o != nil {
-				js.Done = append(js.Done, doneEntry{Idx: idx, Cached: o.Cached, Err: o.Err, Result: o.Result})
+				js.Done = append(js.Done, doneEntry{Idx: idx, Cached: o.Cached, Err: o.Err})
 			}
 		}
 		st.Jobs = append(st.Jobs, js)
@@ -563,9 +573,10 @@ func OpenCoordinator(cache *Cache, cfg CoordConfig) (*Coordinator, error) {
 // adopt installs replayed state into a freshly built coordinator.
 // Anonymous jobs (explorer rounds) are dropped — their completed
 // results stay in the cache, and a restarted exploration re-derives
-// the round deterministically. Completed outcomes re-enter the shared
-// cache here, so recovery never depends on the cache file having been
-// saved before the crash.
+// the round deterministically. A labeled job's resolved outcomes take
+// their results from the cache by content key; a point whose result
+// is missing or unreadable there is planned into a fresh pending shard
+// and simulated again.
 func (c *Coordinator) adopt(st *replayState) {
 	c.seq = st.seq
 	// Replayed timelines land in the recorder verbatim; adopting
@@ -579,16 +590,8 @@ func (c *Coordinator) adopt(st *replayState) {
 	kept := map[string]*fedJob{}
 	for _, id := range st.order {
 		rj := st.jobs[id]
-		if rj == nil {
-			continue // finished and dropped during replay
-		}
-		for idx, e := range rj.done {
-			if e.Err == "" && e.Result != nil && rj.keys[idx] != "" {
-				c.cache.Put(rj.keys[idx], e.Result)
-			}
-		}
-		if rj.label == "" {
-			continue
+		if rj == nil || rj.label == "" {
+			continue // finished and dropped during replay, or anonymous
 		}
 		job := &fedJob{
 			id: rj.id, label: rj.label, trace: rj.trace, meta: rj.meta,
@@ -603,10 +606,22 @@ func (c *Coordinator) adopt(st *replayState) {
 			idxs = append(idxs, idx)
 		}
 		sort.Ints(idxs)
+		var lost []int
 		for _, idx := range idxs {
 			e := rj.done[idx]
-			c.finishLocked(job, idx, &Outcome{Point: rj.points[idx], Key: rj.keys[idx],
-				Cached: e.Cached, Err: e.Err, Result: e.Result})
+			o := &Outcome{Point: rj.points[idx], Key: rj.keys[idx], Cached: e.Cached, Err: e.Err}
+			if e.Err == "" {
+				r, ok := c.cache.Get(o.Key)
+				if !ok {
+					lost = append(lost, idx)
+					continue
+				}
+				o.Result = r
+			}
+			c.finishLocked(job, idx, o)
+		}
+		if len(lost) > 0 {
+			c.queueLocked(job, lost)
 		}
 		kept[job.id] = job
 		c.jobs[job.id] = job

@@ -1,43 +1,50 @@
 package sweep
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
+
+	"earlyrelease/internal/sweep/durable"
 )
 
 // openTestCoordinator is newTestCoordinator for durable coordinators.
+// The cache is the store at <state>/cache, opened the way sweepd -state
+// opens it: the journal names results, the store holds them.
 func openTestCoordinator(t *testing.T, clk *fakeClock, cfg CoordConfig) *Coordinator {
 	t.Helper()
 	if clk != nil {
 		cfg.now = clk.now
 	}
-	c, err := OpenCoordinator(nil, cfg)
+	cache, err := OpenCache(filepath.Join(cfg.StateDir, "cache"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(c.Close)
+	c, err := OpenCoordinator(cache, cfg)
+	if err != nil {
+		cache.Close()
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		c.Close()
+		cache.Close()
+	})
 	return c
 }
 
-// runLabeledAsync is submitAsync for labeled (journaled) submissions.
-func runLabeledAsync(c *Coordinator, label string, pts []Point) chan runResult {
-	ch := make(chan runResult, 1)
-	before := c.Status().PendingShards
-	go func() {
-		res, err := c.RunLabeled(label, json.RawMessage(`{"test":true}`), pts, nil)
-		ch <- runResult{res, err}
-	}()
-	for end := time.Now().Add(5 * time.Second); time.Now().Before(end); {
-		if c.Status().PendingShards > before {
-			break
-		}
-		time.Sleep(time.Millisecond)
+// crash is a hard kill: the journal stops with no farewell snapshot,
+// and the store is released so the next openTestCoordinator can reopen
+// it, as it would after the process died.
+func crash(t *testing.T, c *Coordinator) {
+	t.Helper()
+	c.Halt()
+	if err := c.Cache().Close(); err != nil {
+		t.Fatal(err)
 	}
-	return ch
 }
 
 // completeWithEngine resolves a grant with real simulation results, so
@@ -151,11 +158,11 @@ func TestDonePreferredOverQuit(t *testing.T) {
 
 // TestCrashResumeReplaysQueue is the coordinator-level kill-and-resume
 // proof: hard-halt mid-job (no snapshot — recovery runs on the WAL,
-// including a garbage tail), reopen with a cold cache, and the queue
-// comes back exactly — resolved outcomes, the in-flight lease with its
-// worker and attempt count, and the remaining pending work. Completing
-// it yields Results byte-identical to an uninterrupted run with zero
-// re-simulation of recovered points.
+// including a garbage tail), reopen the state dir and its store, and
+// the queue comes back exactly — resolved outcomes, the in-flight lease
+// with its worker and attempt count, and the remaining pending work.
+// Completing it yields Results byte-identical to an uninterrupted run
+// with zero re-simulation of recovered points.
 func TestCrashResumeReplaysQueue(t *testing.T) {
 	dir := t.TempDir()
 	clk := &fakeClock{t: time.Unix(1000, 0)}
@@ -165,7 +172,7 @@ func TestCrashResumeReplaysQueue(t *testing.T) {
 	w1, _ := c1.RegisterWorker("w1")
 
 	pts := testPoints(8)
-	done := runLabeledAsync(c1, "sw-1", pts)
+	done := submitJob(c1, "", "sw-1", pts)
 
 	// Shard one: completed and journaled before the crash.
 	g1, err := c1.LeaseShard(w1.WorkerID)
@@ -179,7 +186,7 @@ func TestCrashResumeReplaysQueue(t *testing.T) {
 		t.Fatalf("second lease: %+v %v", g2, err)
 	}
 
-	c1.Halt() // crash: no graceful snapshot
+	crash(t, c1)
 	if r := <-done; !errors.Is(r.err, ErrClosed) {
 		t.Fatalf("halted waiter: %v", r.err)
 	}
@@ -191,8 +198,8 @@ func TestCrashResumeReplaysQueue(t *testing.T) {
 	f.WriteString("torn-half-record")
 	f.Close()
 
-	// Reopen with a cold cache: every recovered result must come from
-	// the journal, not a surviving cache file.
+	// Reopen: the journal names the four resolved points, and a fresh
+	// Cache over the reopened store serves their results by key.
 	c2 := openTestCoordinator(t, clk, cfg)
 	rec := c2.Recovered()
 	if len(rec) != 1 || rec[0].Label != "sw-1" || rec[0].Done != 4 || rec[0].Total != 8 {
@@ -262,7 +269,7 @@ func TestGracefulResumeFromSnapshot(t *testing.T) {
 	w1, _ := c1.RegisterWorker("w1")
 
 	pts := testPoints(8)
-	done := runLabeledAsync(c1, "sw-9", pts)
+	done := submitJob(c1, "", "sw-9", pts)
 	g1, err := c1.LeaseShard(w1.WorkerID)
 	if err != nil || g1 == nil {
 		t.Fatalf("lease: %v %v", g1, err)
@@ -273,6 +280,9 @@ func TestGracefulResumeFromSnapshot(t *testing.T) {
 		t.Fatalf("lease 2: %v %v", g2, err)
 	}
 	c1.Close()
+	if err := c1.Cache().Close(); err != nil {
+		t.Fatal(err)
+	}
 	if r := <-done; !errors.Is(r.err, ErrClosed) {
 		t.Fatalf("closed waiter: %v", r.err)
 	}
@@ -318,8 +328,8 @@ func TestGracefulResumeFromSnapshot(t *testing.T) {
 }
 
 // TestAnonymousJobsDropOnRecovery: unlabeled submissions (explorer
-// evaluation rounds) do not resume — but their completed results do
-// re-enter the cache, which is what a restarted exploration feeds on.
+// evaluation rounds) do not resume — but their completed results stay
+// in the store, which is what a restarted exploration feeds on.
 func TestAnonymousJobsDropOnRecovery(t *testing.T) {
 	dir := t.TempDir()
 	clk := &fakeClock{t: time.Unix(1000, 0)}
@@ -333,7 +343,7 @@ func TestAnonymousJobsDropOnRecovery(t *testing.T) {
 		t.Fatalf("lease: %v %v", g1, err)
 	}
 	completeWithEngine(t, c1, w1.WorkerID, g1)
-	c1.Halt()
+	crash(t, c1)
 	if r := <-done; !errors.Is(r.err, ErrClosed) {
 		t.Fatalf("halted waiter: %v", r.err)
 	}
@@ -348,5 +358,179 @@ func TestAnonymousJobsDropOnRecovery(t *testing.T) {
 	}
 	if n := c2.Cache().Len(); n != len(g1.Items) {
 		t.Fatalf("recovered cache holds %d results, want %d", n, len(g1.Items))
+	}
+}
+
+// TestResumeResimulatesMissingStoreRecord: the journal names results,
+// the store holds them. A resolved point whose store record is gone at
+// reopen is not invented from the journal — it goes back into a
+// pending shard, is simulated again, and the resumed Results still
+// equal an uninterrupted direct run byte for byte.
+func TestResumeResimulatesMissingStoreRecord(t *testing.T) {
+	dir := t.TempDir()
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	cfg := CoordConfig{LeaseTTL: time.Minute, Planner: ShardPlanner{MaxPoints: 4},
+		StateDir: dir}
+	c1 := openTestCoordinator(t, clk, cfg)
+	w1, _ := c1.RegisterWorker("w1")
+	pts := testPoints(8)
+	done := submitJob(c1, "", "sw-1", pts)
+	g1, err := c1.LeaseShard(w1.WorkerID)
+	if err != nil || g1 == nil || len(g1.Items) != 4 {
+		t.Fatalf("first lease: %+v %v", g1, err)
+	}
+	completeWithEngine(t, c1, w1.WorkerID, g1)
+	g2, err := c1.LeaseShard(w1.WorkerID)
+	if err != nil || g2 == nil {
+		t.Fatalf("second lease: %+v %v", g2, err)
+	}
+	crash(t, c1)
+	if r := <-done; !errors.Is(r.err, ErrClosed) {
+		t.Fatalf("halted waiter: %v", r.err)
+	}
+
+	// Lose one completed point's record from the store.
+	lost := g1.Items[1].Key
+	cache, err := OpenCache(filepath.Join(dir, "cache"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := cache.GC(func(k string) bool { return k != lost }); err != nil || n != 1 {
+		t.Fatalf("dropping %s: removed %d, %v", lost, n, err)
+	}
+	if err := cache.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	c2 := openTestCoordinator(t, clk, cfg)
+	if rec := c2.Recovered(); len(rec) != 1 || rec[0].Done != 3 || rec[0].Total != 8 {
+		t.Fatalf("recovered: %+v", rec)
+	}
+	if st := c2.Status(); st.PendingShards != 1 || st.PendingPoints != 1 || st.ActiveLeases != 1 {
+		t.Fatalf("recovered queue: %+v", st)
+	}
+	resumed := make(chan runResult, 1)
+	go func() {
+		res, err := c2.ResumeRecovered("sw-1", nil)
+		resumed <- runResult{res, err}
+	}()
+	w2, _ := c2.RegisterWorker("w2")
+	g3, err := c2.LeaseShard(w2.WorkerID)
+	if err != nil || g3 == nil || len(g3.Items) != 1 || g3.Items[0].Key != lost {
+		t.Fatalf("requeued lease: %+v %v", g3, err)
+	}
+	completeWithEngine(t, c2, w2.WorkerID, g3)
+	completeWithEngine(t, c2, w1.WorkerID, g2)
+
+	r := <-resumed
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	direct, err := (&Engine{Cache: NewCache()}).RunPoints(pts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := json.Marshal(r.res.Outcomes)
+	want, _ := json.Marshal(direct.Outcomes)
+	if string(got) != string(want) {
+		t.Fatalf("resumed outcomes differ from uninterrupted run:\n%s\nvs\n%s", got, want)
+	}
+	if r.res.Stats.Simulated != 8 || r.res.Stats.Errors != 0 {
+		t.Fatalf("resumed stats: %+v", r.res.Stats)
+	}
+}
+
+// TestJournalCarriesNoResults decodes wal.log and snapshot.json after a
+// cold grid and a warm resubmission of it: every done entry is exactly
+// {idx, cached, err}, and no result's bytes appear in either file.
+func TestJournalCarriesNoResults(t *testing.T) {
+	dir := t.TempDir()
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	cfg := CoordConfig{LeaseTTL: time.Minute, Planner: ShardPlanner{MaxPoints: 4},
+		StateDir: dir}
+	c := openTestCoordinator(t, clk, cfg)
+	w, _ := c.RegisterWorker("w")
+	pts := testPoints(8)
+	done := submitJob(c, "", "sw-1", pts)
+	g1, err := c.LeaseShard(w.WorkerID)
+	if err != nil || g1 == nil {
+		t.Fatalf("first lease: %+v %v", g1, err)
+	}
+	completeWithEngine(t, c, w.WorkerID, g1)
+	c.Snapshot() // the half-done job lands in snapshot.json
+	g2, err := c.LeaseShard(w.WorkerID)
+	if err != nil || g2 == nil {
+		t.Fatalf("second lease: %+v %v", g2, err)
+	}
+	completeWithEngine(t, c, w.WorkerID, g2)
+	cold := <-done
+	if cold.err != nil {
+		t.Fatal(cold.err)
+	}
+	if warm := <-submitJob(c, "", "sw-2", pts); warm.err != nil || warm.res.Stats.CacheHits != 8 {
+		t.Fatalf("warm resubmission: %+v", warm)
+	}
+	crash(t, c)
+
+	checkEntries := func(file string, entries []map[string]json.RawMessage) {
+		t.Helper()
+		for _, e := range entries {
+			for field := range e {
+				if field != "idx" && field != "cached" && field != "err" {
+					t.Errorf("%s: done entry carries %q: %v", file, field, e)
+				}
+			}
+		}
+	}
+	type doneShape struct {
+		Entries []map[string]json.RawMessage `json:"entries"`
+	}
+	wal, recs, err := durable.OpenWAL(filepath.Join(dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal.Close()
+	walEntries := 0
+	for _, rec := range recs {
+		if rec.Type != recTypeDone {
+			continue
+		}
+		var d doneShape
+		if err := json.Unmarshal(rec.Payload, &d); err != nil {
+			t.Fatal(err)
+		}
+		checkEntries("wal.log", d.Entries)
+		walEntries += len(d.Entries)
+	}
+	var snap struct {
+		Jobs []struct {
+			Done []map[string]json.RawMessage `json:"done"`
+		} `json:"jobs"`
+	}
+	if ok, err := durable.ReadSnapshot(filepath.Join(dir, "snapshot.json"), &snap); err != nil || !ok {
+		t.Fatalf("snapshot: ok=%v %v", ok, err)
+	}
+	snapEntries := 0
+	for _, j := range snap.Jobs {
+		checkEntries("snapshot.json", j.Done)
+		snapEntries += len(j.Done)
+	}
+	// Shard two's completion plus the warm job's eight hits follow the
+	// snapshot; shard one's completion is inside it.
+	if walEntries != 12 || snapEntries != 4 {
+		t.Fatalf("done entries: wal %d (want 12), snapshot %d (want 4)", walEntries, snapEntries)
+	}
+
+	for _, file := range []string{"wal.log", "snapshot.json"} {
+		blob, err := os.ReadFile(filepath.Join(dir, file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range cold.res.Outcomes {
+			res, _ := json.Marshal(o.Result)
+			if bytes.Contains(blob, res) {
+				t.Fatalf("%s holds the result of %s", file, o.Point)
+			}
+		}
 	}
 }

@@ -318,12 +318,16 @@ func TestEngineCachesWithinAndAcrossRuns(t *testing.T) {
 		t.Errorf("warm run stats wrong: %+v", again.Stats)
 	}
 
-	// Fresh process (new cache loaded from the file): still 100% hits,
-	// results bit-identical to the cold run.
+	// Fresh process (new cache reopened from the store): still 100%
+	// hits, results bit-identical to the cold run.
+	if err := cache.Close(); err != nil {
+		t.Fatal(err)
+	}
 	reloaded, err := OpenCache(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer reloaded.Close()
 	cold := &Engine{Cache: reloaded}
 	res, err := cold.Run(g, nil)
 	if err != nil {

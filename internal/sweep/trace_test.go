@@ -9,24 +9,6 @@ import (
 	"earlyrelease/internal/obs"
 )
 
-// runTracedAsync is submitAsync under a caller-chosen trace id (and a
-// label, so durable coordinators journal the spans).
-func runTracedAsync(c *Coordinator, traceID, label string, pts []Point) chan runResult {
-	ch := make(chan runResult, 1)
-	before := c.Status().PendingShards
-	go func() {
-		res, err := c.RunTraced(traceID, label, json.RawMessage(`{"test":true}`), pts, nil)
-		ch <- runResult{res, err}
-	}()
-	for end := time.Now().Add(5 * time.Second); time.Now().Before(end); {
-		if c.Status().PendingShards > before {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	return ch
-}
-
 // spanNames counts a timeline's spans by name.
 func spanNames(tl obs.Timeline) map[string]int {
 	names := map[string]int{}
@@ -48,7 +30,7 @@ func TestTraceExpiryRequeueTimeline(t *testing.T) {
 
 	// One registered worker at submit time → one shard for the grid;
 	// the survivor joins after planning.
-	done := runTracedAsync(c, "tr-chaos", "", testPoints(3))
+	done := submitJob(c, "tr-chaos", "", testPoints(3))
 	w2, _ := c.RegisterWorker("survivor")
 
 	g1, err := c.LeaseShard(w1.WorkerID)
@@ -122,7 +104,7 @@ func TestTraceSurvivesHaltReopen(t *testing.T) {
 	w1, _ := c1.RegisterWorker("w1")
 
 	pts := testPoints(8)
-	done := runTracedAsync(c1, "tr-dur", "sw-1", pts)
+	done := submitJob(c1, "tr-dur", "sw-1", pts)
 
 	g1, err := c1.LeaseShard(w1.WorkerID)
 	if err != nil || g1 == nil {
@@ -130,7 +112,7 @@ func TestTraceSurvivesHaltReopen(t *testing.T) {
 	}
 	completeWithEngine(t, c1, w1.WorkerID, g1)
 
-	c1.Halt()
+	crash(t, c1)
 	if r := <-done; !errors.Is(r.err, ErrClosed) {
 		t.Fatalf("halted waiter: %v", r.err)
 	}
@@ -194,7 +176,7 @@ func TestTraceResultsByteIdentical(t *testing.T) {
 	w1, _ := c.RegisterWorker("w1")
 
 	pts := testPoints(6)
-	done := runTracedAsync(c, "tr-ident", "", pts)
+	done := submitJob(c, "tr-ident", "", pts)
 	for {
 		g, err := c.LeaseShard(w1.WorkerID)
 		if err != nil {
